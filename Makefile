@@ -23,15 +23,16 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz of the edge-key codec, the open-addressed edge table vs a
-# map reference model, the sharded-vs-map adjacency equivalence, and the
-# patched-vs-rebuilt oriented CSR (seed corpora also run under plain
-# `make test`).
+# map reference model, the sharded-vs-map adjacency equivalence, the
+# patched-vs-rebuilt oriented CSR, and the Step-3 stamp kernel vs
+# per-triplet Evaluate (seed corpora also run under plain `make test`).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzPackEdge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/ -fuzz FuzzEdgeTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/ -fuzz FuzzBuildAdjacency -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tripoll/ -fuzz FuzzOrientedPatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hypergraph/ -fuzz FuzzEvaluateAll -fuzztime $(FUZZTIME)
 
 # Captures for the repo-root result files.
 test-output:

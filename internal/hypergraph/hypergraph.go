@@ -14,10 +14,15 @@
 package hypergraph
 
 import (
+	"cmp"
+	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"coordbot/internal/graph"
-	"coordbot/internal/ygm"
 )
 
 // Triplet is an unordered author triple, stored sorted X < Y < Z.
@@ -209,10 +214,15 @@ type Score struct {
 	PX, PY, PZ int
 }
 
-// Evaluate computes the Step-3 record for one triplet.
+// Evaluate computes the Step-3 record for one triplet. It is the
+// per-triplet reference that EvaluateAll must reproduce exactly.
 func Evaluate(b *graph.BTM, t Triplet) Score {
-	w := TripletWeight(b, t)
-	px, py, pz := b.PageCount(t.X), b.PageCount(t.Y), b.PageCount(t.Z)
+	return scoreOf(t, TripletWeight(b, t), b.PageCount(t.X), b.PageCount(t.Y), b.PageCount(t.Z))
+}
+
+// scoreOf assembles a Score from w_xyz and the page counts, so Evaluate and
+// EvaluateAll compute C with the same floating-point expression.
+func scoreOf(t Triplet, w, px, py, pz int) Score {
 	den := float64(px + py + pz)
 	c := 0.0
 	if den > 0 {
@@ -221,32 +231,181 @@ func Evaluate(b *graph.BTM, t Triplet) Score {
 	return Score{Triplet: t, W: w, C: c, PX: px, PY: py, PZ: pz}
 }
 
-// EvaluateAll computes Step-3 records for many triplets in parallel on a
-// ygm communicator, distributing triplets round-robin — the paper notes
-// "the distributed containers of YGM can accelerate this process by
-// dividing up authors to be checked among several compute nodes" (§2.4).
-// Results are returned sorted by triplet. ranks==0 means ygm.DefaultRanks().
+// EvaluateAll computes the Step-3 records for many triplets and returns
+// them sorted by triplet, equal to Evaluate over each triplet followed by
+// SortScores (duplicates included). ranks is the worker count; ranks <= 0
+// means runtime.GOMAXPROCS(0). An author outside b panics, as in Evaluate.
+//
+// The kernel shares work along the (X, Y, Z) order instead of merging
+// three page lists per triplet. Each worker owns a page-stamp array of
+// length b.NumPages() (4 B × pages × workers, allocated per call) and a
+// generation counter, so the array is never cleared between groups:
+//
+//   - per X, stamp pages(X) with a fresh generation gx;
+//   - per (X, Y) run, re-stamp the pages of Y that carry a stamp >= gx
+//     (that is, pages of X) with a fresh generation gy — that set is I_xy;
+//   - per Z, w_xyz is the number of pages(Z) stamped gy, one linear scan.
+//
+// Workers pull fixed-size index chunks from a shared counter; each chunk
+// is widened to (X, Y)-run boundaries, so one author heading many runs
+// (the lowest ID of a large campaign) still spreads over every worker.
+// Workers write their scores in place, so there is no gather or sort.
+// Unsorted input is sorted once into a clone.
 func EvaluateAll(b *graph.BTM, triplets []Triplet, ranks int) []Score {
 	if len(triplets) == 0 {
 		return nil
 	}
-	if ranks == 0 {
-		ranks = ygm.DefaultRanks()
-	}
-	// Force the timed index to exist? Not needed for unwindowed scores;
-	// AuthorPages is immutable after build, safe to share.
-	comm := ygm.NewComm(ranks)
-	defer comm.Close()
-	bag := ygm.NewBag[Score](comm)
-	comm.Run(func(r *ygm.Rank) {
-		for i := r.ID(); i < len(triplets); i += r.NRanks() {
-			bag.AsyncInsert(r, Evaluate(b, triplets[i]))
+	sorted := true
+	var hi graph.VertexID
+	for i, t := range triplets {
+		hi = max(hi, t.X, t.Y, t.Z)
+		if i > 0 && sorted && compareTriplets(triplets[i-1], t) > 0 {
+			sorted = false
 		}
-		r.Barrier()
-	})
-	out := bag.Gather()
-	SortScores(out)
+	}
+	if int(hi) >= b.NumAuthors() {
+		b.AuthorPages(hi) // panics with Evaluate's out-of-range message
+	}
+	if !sorted {
+		triplets = slices.Clone(triplets)
+		slices.SortFunc(triplets, compareTriplets)
+	}
+	out := make([]Score, len(triplets))
+
+	if ranks <= 0 {
+		ranks = runtime.GOMAXPROCS(0)
+	}
+	chunk := max(minChunk, min(maxChunk, len(triplets)/(ranks*chunksPerWorker)))
+	workers := min(ranks, (len(triplets)+chunk-1)/chunk)
+	if workers == 1 {
+		s := newStamper(b)
+		s.run(triplets, out)
+	} else {
+		evaluateChunks(b, triplets, out, chunk, workers)
+	}
 	return out
+}
+
+// evaluateChunks runs workers stampers over the chunk-size index chunks of
+// ts, each widened to (X, Y)-run boundaries, writing scores into out.
+func evaluateChunks(b *graph.BTM, ts []Triplet, out []Score, chunk, workers int) {
+	nChunks := (len(ts) + chunk - 1) / chunk
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			s := newStamper(b)
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= nChunks {
+					return
+				}
+				lo, hi := xyRunBounds(ts, k*chunk, min((k+1)*chunk, len(ts)))
+				s.run(ts[lo:hi], out[lo:hi])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Chunking for EvaluateAll: about chunksPerWorker chunks per worker so a
+// slow chunk can be balanced by the others, each large enough to amortize
+// re-stamping its first X.
+const (
+	minChunk        = 64
+	maxChunk        = 4096
+	chunksPerWorker = 8
+)
+
+// xyRunBounds widens the index chunk [lo, hi) to (X, Y)-run boundaries:
+// a run that straddles lo belongs to the previous chunk, and a run that
+// straddles hi is finished by this one. Adjacent chunks therefore tile the
+// input exactly, and every run is evaluated by one worker.
+func xyRunBounds(ts []Triplet, lo, hi int) (int, int) {
+	for lo > 0 && lo < len(ts) && sameXY(ts[lo-1], ts[lo]) {
+		lo++
+	}
+	for hi < len(ts) && sameXY(ts[hi-1], ts[hi]) {
+		hi++
+	}
+	return lo, max(lo, hi)
+}
+
+func sameXY(a, b Triplet) bool { return a.X == b.X && a.Y == b.Y }
+
+// stamper is one EvaluateAll worker's scratch: stamp[p] holds the last
+// generation that marked page p.
+type stamper struct {
+	b     *graph.BTM
+	stamp []uint32
+	gen   uint32
+}
+
+func newStamper(b *graph.BTM) stamper {
+	return stamper{b: b, stamp: make([]uint32, b.NumPages())}
+}
+
+// run scores the (X, Y, Z)-sorted triplets ts into out. A stamp >= gx
+// marks a page of the current X: only X's pages and its I_xy subsets are
+// stamped after gx, so earlier runs under the same X do not hide pages of
+// X from later ones.
+func (s *stamper) run(ts []Triplet, out []Score) {
+	b, stamp := s.b, s.stamp
+	var gx, gy uint32
+	var px, py, nxy int
+	for i, t := range ts {
+		if i == 0 || t.X != ts[i-1].X {
+			// One generation per X plus at most one per remaining
+			// triplet must fit before the counter wraps.
+			if uint64(s.gen)+uint64(len(ts)-i)+1 >= math.MaxUint32 {
+				clear(stamp)
+				s.gen = 0
+			}
+			s.gen++
+			gx = s.gen
+			pages := b.AuthorPages(t.X)
+			for _, p := range pages {
+				stamp[p] = gx
+			}
+			px = len(pages)
+		}
+		if i == 0 || !sameXY(t, ts[i-1]) {
+			s.gen++
+			gy = s.gen
+			pages := b.AuthorPages(t.Y)
+			nxy = 0
+			for _, p := range pages {
+				if stamp[p] >= gx {
+					stamp[p] = gy
+					nxy++
+				}
+			}
+			py = len(pages)
+		}
+		pages := b.AuthorPages(t.Z)
+		w := 0
+		if nxy > 0 {
+			for _, p := range pages {
+				if stamp[p] == gy {
+					w++
+				}
+			}
+		}
+		out[i] = scoreOf(t, w, px, py, len(pages))
+	}
+}
+
+// compareTriplets orders triplets by (X, Y, Z).
+func compareTriplets(a, b Triplet) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Y, b.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Z, b.Z)
 }
 
 // SortScores orders scores by triplet for deterministic output.

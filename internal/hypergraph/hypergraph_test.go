@@ -1,7 +1,9 @@
 package hypergraph
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -116,34 +118,99 @@ func TestSpreadWithinMultiComment(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	b := randomBTM(rng, 2000, 60, 40)
-	var triplets []Triplet
-	for i := 0; i < 200; i++ {
-		a := graph.VertexID(rng.Intn(60))
-		bb := graph.VertexID(rng.Intn(60))
-		c := graph.VertexID(rng.Intn(60))
-		if a == bb || bb == c || a == c {
-			continue
-		}
-		triplets = append(triplets, NewTriplet(a, bb, c))
-	}
-	want := make([]Score, len(triplets))
-	for i, tr := range triplets {
+// evaluateOracle is the per-triplet reference EvaluateAll must equal.
+func evaluateOracle(b *graph.BTM, ts []Triplet) []Score {
+	want := make([]Score, len(ts))
+	for i, tr := range ts {
 		want[i] = Evaluate(b, tr)
 	}
 	SortScores(want)
-	for _, ranks := range []int{1, 4} {
-		got := EvaluateAll(b, triplets, ranks)
+	return want
+}
+
+func checkEvaluateAll(t *testing.T, name string, b *graph.BTM, ts []Triplet) {
+	t.Helper()
+	want := evaluateOracle(b, ts)
+	in := slices.Clone(ts)
+	for _, ranks := range []int{-1, 0, 1, 2, 4} {
+		got := EvaluateAll(b, ts, ranks)
+		if !slices.Equal(ts, in) {
+			t.Fatalf("%s ranks %d: input mutated", name, ranks)
+		}
 		if len(got) != len(want) {
-			t.Fatalf("ranks %d: %d scores, want %d", ranks, len(got), len(want))
+			t.Fatalf("%s ranks %d: %d scores, want %d", name, ranks, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("ranks %d: score %d = %+v, want %+v", ranks, i, got[i], want[i])
+				t.Fatalf("%s ranks %d: score %d = %+v, want %+v", name, ranks, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// randomTriplets draws n canonical triplets over authors [0, authors).
+func randomTriplets(rng *rand.Rand, n, authors int) []Triplet {
+	var ts []Triplet
+	for len(ts) < n {
+		a := graph.VertexID(rng.Intn(authors))
+		bb := graph.VertexID(rng.Intn(authors))
+		c := graph.VertexID(rng.Intn(authors))
+		if a == bb || bb == c || a == c {
+			continue
+		}
+		ts = append(ts, NewTriplet(a, bb, c))
+	}
+	return ts
+}
+
+// TestEvaluateAllMatchesSequential: the stamp kernel equals per-triplet
+// Evaluate plus SortScores at every worker count, on sorted and unsorted
+// input, duplicates, authors without pages, and long shared (X, Y) runs
+// that straddle chunk boundaries.
+func TestEvaluateAllMatchesSequential(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Authors 40..59 have no comments: zero pages.
+		cs := make([]graph.Comment, 2000)
+		for i := range cs {
+			cs[i] = graph.Comment{
+				Author: graph.VertexID(rng.Intn(40)),
+				Page:   graph.VertexID(rng.Intn(40)),
+				TS:     int64(rng.Intn(3600)),
+			}
+		}
+		b := graph.BuildBTM(cs, 60, 50)
+
+		random := randomTriplets(rng, 300, 60)
+		checkEvaluateAll(t, "unsorted", b, random)
+
+		sorted := slices.Clone(random)
+		slices.SortFunc(sorted, compareTriplets)
+		checkEvaluateAll(t, "sorted", b, sorted)
+
+		dups := append(slices.Clone(random[:100]), random[:50]...)
+		dups = append(dups, random[10], random[10], random[10])
+		checkEvaluateAll(t, "duplicates", b, dups)
+
+		// One author heads every run, and one (X, Y) run spans far more
+		// triplets than a chunk.
+		var runs []Triplet
+		for y := graph.VertexID(1); y < 60; y++ {
+			for z := y + 1; z < 60; z++ {
+				runs = append(runs, Triplet{X: 0, Y: y, Z: z})
+			}
+		}
+		for rep := 0; rep < 3; rep++ {
+			for z := graph.VertexID(2); z < 60; z++ {
+				runs = append(runs, Triplet{X: 0, Y: 1, Z: z})
+			}
+		}
+		checkEvaluateAll(t, "long runs", b, runs)
+
+		// Struct-literal triplets need not be canonical; Evaluate scores
+		// them by set intersection and so must EvaluateAll.
+		odd := []Triplet{{X: 7, Y: 3, Z: 5}, {X: 3, Y: 3, Z: 9}, {X: 9, Y: 2, Z: 9}, {X: 4, Y: 4, Z: 4}}
+		checkEvaluateAll(t, "non-canonical", b, append(odd, random[:20]...))
 	}
 }
 
@@ -151,6 +218,109 @@ func TestEvaluateAllEmpty(t *testing.T) {
 	if out := EvaluateAll(testBTM(), nil, 2); out != nil {
 		t.Fatal("empty input should return nil")
 	}
+}
+
+// An author past the end of the BTM panics in the caller's goroutine, as
+// Evaluate does, at any worker count.
+func TestEvaluateAllPanicsOutOfRange(t *testing.T) {
+	b := testBTM()
+	for _, ranks := range []int{1, 4} {
+		for _, tr := range []Triplet{{X: 0, Y: 1, Z: 3}, {X: 7, Y: 8, Z: 9}, {X: 3, Y: 0, Z: 1}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("ranks %d, %+v: no panic for an author out of range", ranks, tr)
+					}
+				}()
+				EvaluateAll(b, []Triplet{NewTriplet(0, 1, 2), tr}, ranks)
+			}()
+		}
+	}
+}
+
+// The stamp generation counter wraps by clearing the array; scores across
+// the wrap are unchanged.
+func TestStamperGenerationWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := randomBTM(rng, 1500, 30, 25)
+	ts := randomTriplets(rng, 400, 30)
+	slices.SortFunc(ts, compareTriplets)
+	want := evaluateOracle(b, ts)
+	for _, back := range []uint32{0, 1, 3, 500, 2000} {
+		s := newStamper(b)
+		s.gen = math.MaxUint32 - back
+		for i := range s.stamp {
+			s.stamp[i] = s.gen
+		}
+		got := make([]Score, len(ts))
+		s.run(ts, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("gen MaxUint32-%d: scores differ across the wrap", back)
+		}
+	}
+}
+
+// xyRunBounds tiles the input exactly and never splits an (X, Y) run.
+func TestXYRunBoundsTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ts := randomTriplets(rng, 200, 8)
+	slices.SortFunc(ts, compareTriplets)
+	for chunk := 1; chunk <= len(ts)+1; chunk++ {
+		next := 0
+		for k := 0; k*chunk < len(ts); k++ {
+			lo, hi := xyRunBounds(ts, k*chunk, min((k+1)*chunk, len(ts)))
+			if lo == hi {
+				continue
+			}
+			if lo != next {
+				t.Fatalf("chunk %d #%d starts at %d, want %d", chunk, k, lo, next)
+			}
+			if hi < len(ts) && sameXY(ts[hi-1], ts[hi]) {
+				t.Fatalf("chunk %d #%d splits the run at %d", chunk, k, hi)
+			}
+			next = hi
+		}
+		if next != len(ts) {
+			t.Fatalf("chunk %d: tiles end at %d, want %d", chunk, next, len(ts))
+		}
+	}
+}
+
+// FuzzEvaluateAll checks EvaluateAll against per-triplet Evaluate on
+// fuzzer-built comment lists and triplets: each comment is two bytes
+// (author, page), each triplet three bytes (X, Y, Z), any order.
+func FuzzEvaluateAll(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 2, 0, 0, 1, 1, 1, 2, 1, 0, 2}, []byte{0, 1, 2, 0, 1, 2, 2, 1, 0}, uint8(2))
+	f.Add([]byte{}, []byte{0, 1, 2}, uint8(1))
+	f.Add([]byte{3, 4, 5, 4, 3, 5, 9, 9, 3, 9, 4, 9, 5, 9}, []byte{3, 4, 5, 3, 4, 9, 3, 5, 9, 4, 5, 9, 3, 4, 5}, uint8(3))
+	f.Fuzz(func(t *testing.T, comments, triplets []byte, ranks uint8) {
+		const authors, pages = 12, 10
+		cs := make([]graph.Comment, 0, len(comments)/2)
+		for i := 0; i+1 < len(comments); i += 2 {
+			cs = append(cs, graph.Comment{
+				Author: graph.VertexID(comments[i] % authors),
+				Page:   graph.VertexID(comments[i+1] % pages),
+				TS:     int64(i),
+			})
+		}
+		b := graph.BuildBTM(cs, authors, pages)
+		var ts []Triplet
+		for i := 0; i+2 < len(triplets); i += 3 {
+			ts = append(ts, Triplet{
+				X: graph.VertexID(triplets[i] % authors),
+				Y: graph.VertexID(triplets[i+1] % authors),
+				Z: graph.VertexID(triplets[i+2] % authors),
+			})
+		}
+		got := EvaluateAll(b, ts, int(ranks%5))
+		want := evaluateOracle(b, ts)
+		if len(ts) == 0 {
+			want = nil
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("EvaluateAll = %+v, want %+v", got, want)
+		}
+	})
 }
 
 func TestTopKByWeight(t *testing.T) {

@@ -47,8 +47,8 @@ type Config struct {
 	// paper's §2.2 targeted re-run: take a group of interest found with
 	// a short window and re-project just those users with a longer one.
 	Restrict map[graph.VertexID]bool
-	// Ranks is the ygm parallelism (0 = default). Sequential forces the
-	// single-threaded reference implementations instead.
+	// Ranks is the parallelism of Steps 1–3 (<= 0 = default). Sequential
+	// forces the single-threaded reference implementations instead.
 	Ranks      int
 	Sequential bool
 	// Sharded projects Step 1 into the lock-striped ShardedCI store via
@@ -226,17 +226,8 @@ func RunOnTriangles(ci, thresholded graph.CIView, tris []tripoll.Triangle, b *gr
 		}
 		if len(missing) > 0 {
 			// missing preserves the sorted triplet order of tris, so the
-			// sorted outputs of both evaluators zip back 1:1.
-			var scores []hypergraph.Score
-			if cfg.Sequential {
-				scores = make([]hypergraph.Score, len(missing))
-				for i, t := range missing {
-					scores[i] = hypergraph.Evaluate(b, t)
-				}
-			} else {
-				scores = hypergraph.EvaluateAll(b, missing, cfg.Ranks)
-			}
-			for k, sc := range scores {
+			// sorted scores zip back 1:1.
+			for k, sc := range hypergraph.EvaluateAll(b, missing, stepRanks(cfg)) {
 				res.Triangles[missingAt[k]].Hyper = sc
 				if hyperCache != nil {
 					hyperCache[missing[k]] = sc
@@ -280,6 +271,14 @@ func cluster(res *Result, b *graph.BTM, cfg Config, tris []tripoll.Triangle) {
 	res.Timings.Cluster = time.Since(t0)
 }
 
+// stepRanks is the Step-3 worker count: one under Sequential, else Ranks.
+func stepRanks(cfg Config) int {
+	if cfg.Sequential {
+		return 1
+	}
+	return cfg.Ranks
+}
+
 // finish runs Steps 2–4 (survey, validation, components) on res.CI.
 func finish(res *Result, b *graph.BTM, cfg Config) {
 	ci := res.CI
@@ -318,16 +317,7 @@ func finish(res *Result, b *graph.BTM, cfg Config) {
 		for i, tr := range tris {
 			triplets[i] = hypergraph.Triplet{X: tr.X, Y: tr.Y, Z: tr.Z}
 		}
-		var scores []hypergraph.Score
-		if cfg.Sequential {
-			scores = make([]hypergraph.Score, len(triplets))
-			for i, t := range triplets {
-				scores[i] = hypergraph.Evaluate(b, t)
-			}
-			hypergraph.SortScores(scores)
-		} else {
-			scores = hypergraph.EvaluateAll(b, triplets, cfg.Ranks)
-		}
+		scores := hypergraph.EvaluateAll(b, triplets, stepRanks(cfg))
 		// Both lists are sorted by triplet; triangles are unique per
 		// (X,Y,Z), so they zip 1:1.
 		for i := range res.Triangles {

@@ -84,6 +84,36 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	}
 }
 
+// A negative Ranks means the default parallelism in every step rather
+// than reaching ygm.NewComm as an invalid rank count.
+func TestNegativeRanksMeansDefault(t *testing.T) {
+	d := tinyDataset(t)
+	b := d.BTM()
+	cfg := Config{
+		Window:            projection.Window{Min: 0, Max: 60},
+		MinTriangleWeight: 5,
+		Exclude:           d.Helpers,
+		Ranks:             -1,
+	}
+	neg, err := Run(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Ranks = 0
+	def, err := Run(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(neg.Triangles) == 0 || len(neg.Triangles) != len(def.Triangles) {
+		t.Fatalf("triangle counts: ranks -1 %d, ranks 0 %d", len(neg.Triangles), len(def.Triangles))
+	}
+	for i := range def.Triangles {
+		if neg.Triangles[i] != def.Triangles[i] {
+			t.Fatalf("triangle %d differs: %+v vs %+v", i, neg.Triangles[i], def.Triangles[i])
+		}
+	}
+}
+
 func TestPlantedRingRecovered(t *testing.T) {
 	// Weight cutoff alone admits hyper-active organic users (the paper's
 	// false-positive mode); adding the normalized T score eliminates

@@ -56,7 +56,7 @@ type Options struct {
 	// Bipartite Temporal Multigraph for just this smaller group of users
 	// with a longer time window". Exclude still applies on top.
 	Restrict map[graph.VertexID]bool
-	// Ranks is the parallelism degree for Project; 0 means GOMAXPROCS
+	// Ranks is the parallelism degree for Project; <= 0 means GOMAXPROCS
 	// (minimum 2). Ignored by ProjectSequential.
 	Ranks int
 }
@@ -148,7 +148,7 @@ func Project(b *graph.BTM, w Window, opts Options) (*graph.CIGraph, error) {
 		return nil, err
 	}
 	nr := opts.Ranks
-	if nr == 0 {
+	if nr <= 0 {
 		nr = runtime.GOMAXPROCS(0)
 		if nr < 2 {
 			nr = 2

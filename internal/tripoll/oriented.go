@@ -675,7 +675,7 @@ func (o *Oriented) SurveyAll(opts Options, pageCount func(graph.VertexID) uint32
 func (o *Oriented) SurveyParallel(opts Options, pageCount func(graph.VertexID) uint32) []Triangle {
 	n := int32(len(o.orig))
 	nr := opts.Ranks
-	if nr == 0 {
+	if nr <= 0 {
 		nr = ygm.DefaultRanks()
 	}
 	comm := ygm.NewComm(nr)

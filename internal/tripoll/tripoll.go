@@ -62,7 +62,7 @@ type Options struct {
 	// MinTScore keeps only triangles with T(x,y,z) >= this. Requires
 	// page counts on the surveyed graph; 0 disables.
 	MinTScore float64
-	// Ranks is the parallelism for Survey; 0 means ygm.DefaultRanks().
+	// Ranks is the parallelism for Survey; <= 0 means ygm.DefaultRanks().
 	Ranks int
 }
 

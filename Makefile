@@ -13,8 +13,11 @@ check: vet test-race
 build:
 	$(GO) build ./...
 
+# perfbench is a separate module (replace coordbot => ../), so it is
+# vetted on its own.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

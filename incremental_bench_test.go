@@ -2,11 +2,12 @@ package coordbot_test
 
 // Incremental-survey benchmark: the cost of one detection cycle after a
 // small dirty batch (a handful of authors on one page — roughly 1% of the
-// store's shards) on an 80k-user corpus, delta path versus a forced full
-// re-survey of the same stream. The gap is what the per-shard version
-// vector buys: the full path rescans every edge to rebuild the pruned
-// view and re-enumerates every triangle, the delta path re-filters only
-// dirtied shards and re-surveys only triangles touching dirty vertices.
+// store's shards) on an 80k-user corpus, the daemon's delta cycle versus a
+// cold pipeline.Cycle run on the same cycle's snapshot. The gap is what
+// the per-shard version vector buys: the cold run rescans every edge to
+// rebuild the pruned view and re-enumerates every triangle, the delta
+// cycle re-filters only dirtied shards and re-surveys only triangles
+// touching dirty vertices.
 // Run with
 //
 //	go test -bench Incremental -benchmem
@@ -21,6 +22,7 @@ import (
 
 	"coordbot/internal/detectd"
 	"coordbot/internal/graph"
+	"coordbot/internal/pipeline"
 	"coordbot/internal/projection"
 	"coordbot/internal/redditgen"
 )
@@ -59,14 +61,12 @@ func incrementalCorpus() *redditgen.Dataset {
 	})
 }
 
-func incrementalConfig(fullResurvey bool) detectd.Config {
+func incrementalConfig() detectd.Config {
 	return detectd.Config{
 		Window:            projection.Window{Min: 0, Max: 60},
 		MinTriangleWeight: 60,
 		ClampLate:         true,
 		Shards:            incrementalShards,
-		Sequential:        true,
-		FullResurvey:      fullResurvey,
 		// Horizon exceeds the corpus span plus benchmark drift: the whole
 		// 80k-user graph stays live, so the full path's edge rescan is
 		// honest about steady-state cost.
@@ -77,9 +77,9 @@ func incrementalConfig(fullResurvey bool) detectd.Config {
 // incrementalService ingests the corpus and runs the warm-up cycle (the
 // unavoidable first full survey), returning the service and the event
 // time dirty batches should continue from.
-func incrementalService(b *testing.B, d *redditgen.Dataset, fullResurvey bool) (*detectd.Service, int64) {
+func incrementalService(b *testing.B, d *redditgen.Dataset) (*detectd.Service, int64) {
 	b.Helper()
-	s, err := detectd.NewService(incrementalConfig(fullResurvey))
+	s, err := detectd.NewService(incrementalConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,13 +115,21 @@ func dirtyBatch(i int, ts int64) []graph.Comment {
 	return batch
 }
 
+// benchIncrementalCycles times one dirty cycle per iteration: the
+// daemon's delta SurveyNow, or (fullResurvey) a cold pipeline.Cycle run
+// on the snapshot that SurveyNow saw, with the daemon's cycle untimed.
 func benchIncrementalCycles(b *testing.B, d *redditgen.Dataset, fullResurvey bool) {
-	s, ts := incrementalService(b, d, fullResurvey)
-	var last *detectd.SurveyResult
+	s, ts := incrementalService(b, d)
+	cfg := incrementalConfig()
+	cold := pipeline.Config{Window: cfg.Window, MinTriangleWeight: cfg.MinTriangleWeight, SkipHypergraph: true}
+	var st pipeline.CycleStats
 	runtime.GC() // keep setup garbage out of the measured cycles
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if fullResurvey {
+			b.StopTimer()
+		}
 		s.Apply(dirtyBatch(i, ts))
 		ts += 2
 		sr, err := s.SurveyNow()
@@ -131,16 +139,24 @@ func benchIncrementalCycles(b *testing.B, d *redditgen.Dataset, fullResurvey boo
 		if sr.Reused {
 			b.Fatal("dirty cycle short-circuited as idle")
 		}
-		if sr.Delta == fullResurvey {
-			b.Fatalf("cycle %d: Delta=%v with FullResurvey=%v", sr.Cycle, sr.Delta, fullResurvey)
+		if !sr.Delta {
+			b.Fatalf("cycle %d fell back to a full resurvey", sr.Cycle)
 		}
-		last = sr
+		st = pipeline.CycleStats{Delta: true, DirtyShards: sr.DirtyShards,
+			CachedTriangles: sr.CachedTriangles, ResurveyedTriangles: sr.ResurveyedTriangles}
+		if fullResurvey {
+			b.StartTimer()
+			_, st = pipeline.NewCycle(cold, 0).Run(sr.Result.CI, nil, nil)
+			if st.Delta {
+				b.Fatalf("cycle %d: a fresh Cycle ran the delta path", sr.Cycle)
+			}
+		}
 	}
 	b.StopTimer()
-	if last != nil {
-		b.ReportMetric(float64(last.DirtyShards), "dirty-shards")
-		b.ReportMetric(float64(last.CachedTriangles), "tri-cached")
-		b.ReportMetric(float64(last.ResurveyedTriangles), "tri-resurveyed")
+	if b.N > 0 {
+		b.ReportMetric(float64(st.DirtyShards), "dirty-shards")
+		b.ReportMetric(float64(st.CachedTriangles), "tri-cached")
+		b.ReportMetric(float64(st.ResurveyedTriangles), "tri-resurveyed")
 	}
 }
 

@@ -188,3 +188,46 @@ func TestIngestDuringCommunitiesQuery(t *testing.T) {
 		t.Fatal("final warm partition differs from cold Detect")
 	}
 }
+
+// TestSurveyTimingsCoverEveryStep: on every non-idle cycle, cold and
+// delta alike, each step that ran reports a non-zero wall time, and the
+// step timings fit inside the cycle's own Duration (which adds the
+// snapshot, log copy and BTM build around them).
+func TestSurveyTimingsCoverEveryStep(t *testing.T) {
+	ds := snapshotDataset()
+	s, err := NewService(communityConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 500
+	var delta int
+	for lo := 0; lo < len(ds.Comments); lo += batch {
+		s.Apply(ds.Comments[lo:min(lo+batch, len(ds.Comments))])
+		sr, err := s.SurveyNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Reused {
+			continue
+		}
+		if sr.Delta {
+			delta++
+		}
+		tm := sr.Result.Timings
+		if tm.Survey <= 0 || tm.Component <= 0 || tm.Cluster <= 0 {
+			t.Fatalf("cycle %d (delta %v): a step reported no time: %+v", sr.Cycle, sr.Delta, tm)
+		}
+		if len(sr.Result.Triangles) > 0 && tm.Validate <= 0 {
+			t.Fatalf("cycle %d: validated %d triangles in no time", sr.Cycle, len(sr.Result.Triangles))
+		}
+		if tm.Project != 0 {
+			t.Fatalf("cycle %d: a snapshot survey reported projection time %v", sr.Cycle, tm.Project)
+		}
+		if sum := tm.Survey + tm.Validate + tm.Component + tm.Cluster; sum > sr.Duration {
+			t.Fatalf("cycle %d: step timings sum to %v, more than the cycle's %v", sr.Cycle, sum, sr.Duration)
+		}
+	}
+	if delta == 0 {
+		t.Fatal("no delta cycle was timed")
+	}
+}

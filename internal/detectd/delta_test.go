@@ -7,6 +7,7 @@ package detectd
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -25,24 +26,17 @@ func deltaConfig() Config {
 		ValidateHypergraph: true,
 		ClampLate:          true,
 		Shards:             32,
-		Sequential:         true,
 	}
 }
 
-// surveyOracle reruns the full batch survey on the exact inputs a
-// published cycle saw (its frozen snapshot and windowed BTM).
+// surveyOracle reruns the survey cold — a fresh engine, no memo, no
+// cached census or partition — on the exact inputs a published cycle saw
+// (its frozen snapshot and windowed BTM).
 func surveyOracle(t *testing.T, cfg Config, sr *SurveyResult) *pipeline.Result {
 	t.Helper()
-	want, err := pipeline.RunOnCI(sr.snap, sr.btm, pipeline.Config{
-		Window:            cfg.Window,
-		MinEdgeWeight:     cfg.MinEdgeWeight,
-		MinTriangleWeight: cfg.MinTriangleWeight,
-		MinTScore:         cfg.MinTScore,
-		Sequential:        cfg.Sequential,
-		SkipHypergraph:    !cfg.ValidateHypergraph,
-	})
-	if err != nil {
-		t.Fatal(err)
+	want, st := pipeline.NewCycle(cfg.pipelineConfig(), 0).Run(sr.snap, sr.btm, nil)
+	if st.Delta || want.HyperCacheHits != 0 {
+		t.Fatalf("cycle %d: cold oracle ran warm (delta %v, %d memo hits)", sr.Cycle, st.Delta, want.HyperCacheHits)
 	}
 	return want
 }
@@ -63,6 +57,13 @@ func surveysEqual(t *testing.T, cycle int64, got, want *pipeline.Result) {
 	}
 	if len(got.Components) != len(want.Components) {
 		t.Fatalf("cycle %d: %d components, oracle %d", cycle, len(got.Components), len(want.Components))
+	}
+	if (got.Partition == nil) != (want.Partition == nil) ||
+		(want.Partition != nil && !got.Partition.Equal(want.Partition)) {
+		t.Fatalf("cycle %d: partition differs from oracle", cycle)
+	}
+	if !reflect.DeepEqual(got.Communities, want.Communities) {
+		t.Fatalf("cycle %d: %d scored communities, oracle %d", cycle, len(got.Communities), len(want.Communities))
 	}
 }
 
@@ -187,19 +188,14 @@ func TestOrientRebuildPolicies(t *testing.T) {
 	}
 }
 
-// TestFullResurveyModeMatchesDelta: a FullResurvey daemon fed the same
-// stream publishes the same results — the baseline mode is a pure
-// perf/bisection switch, never a semantic one.
+// TestFullResurveyModeMatchesDelta: a daemon fed the stream in fixed
+// batches publishes, cycle for cycle, exactly what a cold engine computes
+// on the same snapshot and BTM — the full resurvey is the oracle, never a
+// separate mode.
 func TestFullResurveyModeMatchesDelta(t *testing.T) {
 	ds := snapshotDataset()
 	cfg := deltaConfig()
-	full := cfg
-	full.FullResurvey = true
 	a, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewService(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,22 +206,11 @@ func TestFullResurveyModeMatchesDelta(t *testing.T) {
 			hi = len(ds.Comments)
 		}
 		a.Apply(ds.Comments[lo:hi])
-		b.Apply(ds.Comments[lo:hi])
 		ra, err := a.SurveyNow()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.SurveyNow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rb.Delta {
-			t.Fatal("FullResurvey mode ran a delta cycle")
-		}
-		surveysEqual(t, ra.Cycle, ra.Result, rb.Result)
-	}
-	if b.DeltaCycles() != 0 {
-		t.Fatalf("FullResurvey mode counted %d delta cycles", b.DeltaCycles())
+		surveysEqual(t, ra.Cycle, ra.Result, surveyOracle(t, cfg, ra))
 	}
 	if a.DeltaCycles() == 0 {
 		t.Fatal("delta mode never took the incremental path")

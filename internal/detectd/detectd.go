@@ -6,20 +6,19 @@
 //     time-ordered comment stream and maintains the CI graph of only the
 //     trailing event-time horizon — old co-activity ages out instead of
 //     accumulating forever.
-//  2. A background survey loop periodically snapshots the live CI graph.
-//     The live graph is a sharded copy-on-write store, so a snapshot
-//     freezes shard map references under per-shard locks — O(shards), not
+//  2. A background survey loop periodically snapshots the live CI graph
+//     and hands it, with a BTM of the windowed comment log, to one warm
+//     pipeline.Cycle — the same survey engine batch pipeline.Run runs
+//     cold. The live graph is a sharded copy-on-write store, so a snapshot
+//     freezes shard references under per-shard locks — O(shards), not
 //     O(edges) — and ingestion recopies only the shards it dirties
-//     afterwards. Surveys are incremental: the loop diffs the snapshot's
-//     per-shard version vector against the previous cycle's (DirtyVertices),
-//     keeps every cached triangle that touches no dirty vertex, and
-//     re-enumerates only the dirty frontier (tripoll.SurveyDirty); the
-//     merged list flows through pipeline.RunOnTriangles, which memoizes
-//     hypergraph validation per triplet across cycles. The first cycle —
-//     or any incomparable snapshot, or Config.FullResurvey — falls back to
-//     the full survey. An idle cycle (nothing ingested since the last
-//     survey) republishes the previous result without recomputing
-//     anything.
+//     afterwards. The engine diffs each snapshot against the previous
+//     cycle's, keeps every cached triangle that touches no dirty vertex,
+//     re-enumerates only the dirty frontier, and serves Step-3 scores from
+//     a per-triplet memo that the service invalidates by author as the
+//     comment log changes. The first cycle is a full pass. An idle cycle
+//     (nothing ingested since the last survey) republishes the previous
+//     result without recomputing anything.
 //  3. An HTTP/JSON API (http.go) exposes ingestion with backpressure,
 //     the latest survey, per-user scoring, stats, and health.
 //
@@ -40,12 +39,10 @@ import (
 
 	"coordbot/internal/community"
 	"coordbot/internal/graph"
-	"coordbot/internal/hypergraph"
 	"coordbot/internal/interner"
 	"coordbot/internal/pipeline"
 	"coordbot/internal/projection"
 	"coordbot/internal/stream"
-	"coordbot/internal/tripoll"
 )
 
 // Config parameterizes the daemon.
@@ -90,10 +87,8 @@ type Config struct {
 	// of rejecting them (live feeds are only approximately ordered).
 	// When false, out-of-order comments are dropped and counted.
 	ClampLate bool
-	// Ranks is the survey parallelism (0 = library default); Sequential
-	// forces the single-threaded reference implementations.
-	Ranks      int
-	Sequential bool
+	// Ranks is the survey parallelism (0 = library default).
+	Ranks int
 	// Shards is the shard count of the live CI store (rounded up to a
 	// power of two; 0 = graph.DefaultShards). More shards cut the
 	// copy-on-write cost hot ingestion pays after each snapshot — and
@@ -105,11 +100,6 @@ type Config struct {
 	// GOMAXPROCS; 1 forces the serial reference path. The projected graph
 	// is identical either way.
 	IngestWorkers int
-	// FullResurvey disables the incremental delta-survey path: every
-	// cycle re-enumerates the whole snapshot and re-validates every
-	// triangle, as if no previous cycle existed. The baseline mode for
-	// benchmarks and for bisecting suspected cache bugs.
-	FullResurvey bool
 	// OrientRebuildFrac is the drifted-vertex fraction at which the
 	// persistent oriented adjacency re-freezes its epoch order
 	// (tripoll.Oriented). 0 means the library default; a negative value
@@ -130,19 +120,6 @@ type Config struct {
 	Community community.Config
 }
 
-// edgeCut is the effective edge threshold of the survey (and the
-// component census): max(MinTriangleWeight, MinEdgeWeight, 1).
-func (c *Config) edgeCut() uint32 {
-	cut := c.MinTriangleWeight
-	if c.MinEdgeWeight > cut {
-		cut = c.MinEdgeWeight
-	}
-	if cut < 1 {
-		cut = 1
-	}
-	return cut
-}
-
 func (c *Config) setDefaults() error {
 	if err := c.Window.Validate(); err != nil {
 		return err
@@ -157,6 +134,20 @@ func (c *Config) setDefaults() error {
 		c.MinTriangleWeight = 1
 	}
 	return nil
+}
+
+// pipelineConfig is the survey engine's share of the daemon config.
+func (c *Config) pipelineConfig() pipeline.Config {
+	return pipeline.Config{
+		Window:            c.Window,
+		MinEdgeWeight:     c.MinEdgeWeight,
+		MinTriangleWeight: c.MinTriangleWeight,
+		MinTScore:         c.MinTScore,
+		Ranks:             c.Ranks,
+		SkipHypergraph:    !c.ValidateHypergraph,
+		Communities:       c.Communities,
+		Community:         c.Community,
+	}
 }
 
 // SurveyResult is one published survey cycle.
@@ -176,27 +167,10 @@ type SurveyResult struct {
 	// Reused reports that the stream was idle since the previous cycle,
 	// so this cycle republished the previous Result without resurveying.
 	Reused bool
-	// Delta reports that this cycle ran the incremental survey: cached
-	// triangles merged with a dirty-frontier re-enumeration instead of a
-	// full pass over the snapshot.
-	Delta bool
-	// DirtyShards / DirtyVertices size the diff a Delta cycle surveyed
-	// (for a full cycle: the whole snapshot's shard and author counts).
-	DirtyShards   int
-	DirtyVertices int
-	// CachedTriangles / ResurveyedTriangles split the published triangle
-	// census (pre T-score filter) into cache survivors and fresh
-	// enumerations; a full cycle reports everything as resurveyed.
-	CachedTriangles     int
-	ResurveyedTriangles int
-	// OrientEpoch / OrientPatchedEdges / OrientRebuilds are the persistent
-	// oriented adjacency's counters as of this cycle: the stable-order
-	// epoch, cumulative edge patches applied, and drift-triggered
-	// re-orientations. They reset when the orientation is rebuilt from
-	// scratch (full cycles, incomparable snapshots).
-	OrientEpoch        int64
-	OrientPatchedEdges int64
-	OrientRebuilds     int64
+	// CycleStats says how the survey engine went about this cycle: delta
+	// or full pass, the size of the diff, carried-over versus freshly
+	// enumerated triangles, and the persistent orientation's counters.
+	pipeline.CycleStats
 	// Communities counts the scored communities of this cycle (those with
 	// >= Config.Community.MinSize members; 0 without Config.Communities).
 	// ReusedComponents / ClusteredComponents split the pruned graph's
@@ -223,38 +197,6 @@ type surveyStamp struct {
 	graphVersion uint64
 	ingested     int64
 	watermark    int64
-}
-
-// surveyCache is the cross-cycle incremental survey state, owned by
-// surveyMu. Everything in it is immutable once stored: snap and pruned
-// are frozen snapshots, tris is never mutated after publication, and
-// hyper is only touched by the (serialized) next cycle.
-type surveyCache struct {
-	// snap is the snapshot the cached triangles were surveyed on — the
-	// version-vector baseline the next cycle diffs against.
-	snap *graph.CISnapshot
-	// pruned is snap thresholded at Config.edgeCut, reused shard-by-shard
-	// via ThresholdDelta so unchanged shards are never re-filtered.
-	pruned *graph.CISnapshot
-	// tris is the full weight-thresholded triangle census of pruned, in
-	// SortTriangles order and deliberately NOT T-score filtered: T depends
-	// on live page counts, so the filter runs downstream each cycle.
-	tris []tripoll.Triangle
-	// hyper memoizes Step-3 scores per triplet; entries touching a
-	// logDirty author are invalidated before reuse.
-	hyper map[hypergraph.Triplet]hypergraph.Score
-	// oriented is the persistent stable-epoch orientation of pruned
-	// (tripoll.Oriented). The next delta cycle patches it in place from
-	// the pruned-snapshot edge diff instead of re-deriving adjacency and
-	// orientation from scratch. Unlike the rest of the cache it is
-	// mutable — but only under surveyMu, and it is nil'd before patching
-	// begins so a failed cycle can never leave a half-patched orientation
-	// attributed to pruned.
-	oriented *tripoll.Oriented
-	// partition is pruned's community assignment (nil without
-	// Config.Communities). The next delta cycle warm-starts from it,
-	// reusing components with no dirty vertex.
-	partition *community.Partition
 }
 
 // Service is the daemon. Create with NewService, start the background
@@ -289,10 +231,11 @@ type Service struct {
 	// survey invalidates their memoized triplets and keeps the rest.
 	logDirty map[graph.VertexID]bool
 
-	// surveyMu serializes survey cycles: they read-modify-write cache, the
-	// cross-cycle incremental state. Ingestion never takes this lock.
+	// surveyMu serializes survey cycles: they run cycle, the engine that
+	// holds the cross-cycle incremental state. Ingestion never takes this
+	// lock.
 	surveyMu sync.Mutex
-	cache    *surveyCache
+	cycle    *pipeline.Cycle
 
 	queue  chan []graph.Comment
 	latest atomic.Pointer[SurveyResult]
@@ -367,6 +310,7 @@ func NewService(cfg Config) (*Service, error) {
 		tagIDs:      interner.New(1 << 8),
 		signalNames: names,
 		proj:        proj,
+		cycle:       pipeline.NewCycle(cfg.pipelineConfig(), cfg.OrientRebuildFrac),
 		queue:       make(chan []graph.Comment, cfg.QueueSize),
 		metrics:     newMetrics(),
 		quit:        make(chan struct{}),
@@ -495,11 +439,8 @@ func (s *Service) flushLocked() {
 }
 
 // markHyperDirty records that a's windowed comment set changed. Caller
-// holds s.mu. No-op in FullResurvey mode, where nothing is memoized.
+// holds s.mu.
 func (s *Service) markHyperDirty(a graph.VertexID) {
-	if s.cfg.FullResurvey {
-		return
-	}
 	if s.logDirty == nil {
 		s.logDirty = make(map[graph.VertexID]bool)
 	}
@@ -582,19 +523,16 @@ func (s *Service) surveyLoop() {
 }
 
 // SurveyNow runs one survey cycle synchronously: snapshot the live CI
-// graph under a brief lock — O(shards) copy-on-write, not a deep copy —
-// then survey the immutable snapshot and publish the result. If the
-// stream is idle (stamp unchanged since the previous cycle) the previous
-// result is republished with Reused set and no graph work at all.
-// Otherwise the cycle is incremental whenever a comparable previous
-// snapshot exists: the per-shard version vectors yield the dirty vertex
-// set, cached triangles touching none of them survive verbatim, the
-// dirty frontier is re-enumerated on the delta-thresholded graph, and
-// hypergraph validation reuses memoized triplet scores whose authors'
-// windowed comments are unchanged. Config.FullResurvey (or the first
-// cycle, or a shard-geometry change) runs the full O(edges) pass.
-// Callable concurrently with ingestion; concurrent calls serialize on
-// the survey cache.
+// graph and copy the windowed comment log under a brief lock — the
+// snapshot is O(shards) copy-on-write, not a deep copy — then run the
+// survey engine (pipeline.Cycle) on the immutable copies and publish the
+// result. If the stream is idle (stamp unchanged since the previous cycle)
+// the previous result is republished with Reused set and no graph work at
+// all. Otherwise the engine runs incrementally against the previous
+// cycle's snapshot; only the first cycle is a full pass. Callable
+// concurrently with ingestion; concurrent calls serialize on surveyMu.
+// The error is always nil; it is kept for callers that treat a survey as
+// fallible.
 func (s *Service) SurveyNow() (*SurveyResult, error) {
 	start := time.Now()
 	s.surveyMu.Lock()
@@ -619,7 +557,6 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 		return &sr, nil
 	}
 	ci := s.proj.Snapshot()
-	wm := st.watermark
 	var windowed []graph.Comment
 	if s.cfg.ValidateHypergraph && len(s.log)-s.logStart > 0 {
 		windowed = append(windowed, s.log[s.logStart:]...)
@@ -633,199 +570,44 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 	if windowed != nil {
 		btm = graph.BuildBTM(windowed, 0, 0)
 	}
-
-	cut := s.cfg.edgeCut()
-	cache := s.cache
-	var (
-		dirty       map[graph.VertexID]bool
-		dirtyShards int
-		delta       bool
-	)
-	if !s.cfg.FullResurvey && cache != nil {
-		dirty, dirtyShards, delta = ci.DirtyVertices(cache.snap)
-	}
-
-	var (
-		pruned               *graph.CISnapshot
-		oriented             *tripoll.Oriented
-		tris                 []tripoll.Triangle
-		cachedN, resurveyedN int
-	)
-	sopts := tripoll.Options{MinTriangleWeight: s.cfg.MinTriangleWeight, Ranks: s.cfg.Ranks}
-	if delta {
-		// Incremental path. A triangle's weights changed only if one of
-		// its edges did, which dirties both endpoints — so cached
-		// triangles with no dirty vertex are exact on the new graph, and
-		// the dirty-frontier enumeration supplies everything else. The
-		// two sets partition the new census: SurveyDirty emits precisely
-		// the triangles with >= 1 dirty vertex.
-		pruned = ci.ThresholdDelta(cache.snap, cache.pruned, cut)
-		kept := make([]tripoll.Triangle, 0, len(cache.tris))
-		for _, tr := range cache.tris {
-			if dirty[tr.X] || dirty[tr.Y] || dirty[tr.Z] {
-				continue
-			}
-			kept = append(kept, tr)
-		}
-		// Prefer patching the persistent orientation from the pruned-graph
-		// edge diff over rebuilding adjacency + orientation from scratch —
-		// the cycle's cost then scales with the diff, not the graph.
-		if o := cache.oriented; o != nil {
-			if patches, _, ok := pruned.EdgePatches(cache.pruned); ok {
-				cache.oriented = nil // taken; never survives a failed cycle
-				o.ApplyPatches(patches)
-				oriented = o
-			}
-		}
-		if oriented == nil {
-			oriented = s.newOriented(pruned)
-		}
-		var fresh []tripoll.Triangle
-		oriented.SurveyDirty(sopts, dirty, nil, func(tr tripoll.Triangle) {
-			fresh = append(fresh, tr)
-		})
-		tripoll.SortTriangles(fresh)
-		tris = tripoll.MergeSorted(kept, fresh)
-		cachedN, resurveyedN = len(kept), len(fresh)
-	} else {
-		// Full path: threshold and enumerate the whole snapshot. The
-		// T-score cut stays out of the survey so the cached census stays
-		// valid as page counts drift; RunOnTriangles applies it downstream.
-		pruned = ci.ThresholdView(cut).(*graph.CISnapshot)
-		oriented = s.newOriented(pruned)
-		if s.cfg.Sequential {
-			oriented.SurveyAll(sopts, nil, func(tr tripoll.Triangle) {
-				tris = append(tris, tr)
-			})
-			tripoll.SortTriangles(tris)
-		} else {
-			tris = oriented.SurveyParallel(sopts, nil)
-		}
-		resurveyedN = len(tris)
-	}
-
-	// Step-3 memo: drop scores whose authors' windowed comments changed,
-	// then let RunOnTriangles fill the misses.
-	var hyper map[hypergraph.Triplet]hypergraph.Score
-	if s.cfg.ValidateHypergraph && !s.cfg.FullResurvey {
-		if cache != nil && cache.hyper != nil {
-			hyper = cache.hyper
-			for t := range hyper {
-				if hyperDirty[t.X] || hyperDirty[t.Y] || hyperDirty[t.Z] {
-					delete(hyper, t)
-				}
-			}
-		} else {
-			hyper = make(map[hypergraph.Triplet]hypergraph.Score)
-		}
-	}
-
-	res, err := pipeline.RunOnTriangles(ci, pruned, tris, btm, pipeline.Config{
-		Window:            s.cfg.Window,
-		MinEdgeWeight:     s.cfg.MinEdgeWeight,
-		MinTriangleWeight: s.cfg.MinTriangleWeight,
-		MinTScore:         s.cfg.MinTScore,
-		Ranks:             s.cfg.Ranks,
-		Sequential:        s.cfg.Sequential,
-		SkipHypergraph:    !s.cfg.ValidateHypergraph,
-	}, hyper)
-	if err != nil {
-		// Put the consumed dirty-author set back so the memo stays sound
-		// for the next attempt.
-		s.mu.Lock()
-		for a := range hyperDirty {
-			s.markHyperDirty(a)
-		}
-		s.mu.Unlock()
-		return nil, err
-	}
-
-	// Community layer: warm-start the clustering from the cached
-	// partition on delta cycles — components untouched by the dirty set
-	// reuse their assignment, so steady-state clustering rides the same
-	// diff the survey does. The result is identical to a cold run.
-	var partition *community.Partition
-	if s.cfg.Communities {
-		t0 := time.Now()
-		// Relabel the clustering section so profiles split it out of the
-		// surrounding survey (or caller) phase.
-		pprof.Do(context.Background(), pprof.Labels("phase", "communities"), func(context.Context) {
-			ccfg := s.cfg.Community.Defaults()
-			var prevPart *community.Partition
-			var warmDirty map[graph.VertexID]bool
-			if delta && cache != nil {
-				prevPart, warmDirty = cache.partition, dirty
-			}
-			partition = community.DetectWarm(res.Thresholded, ccfg, prevPart, warmDirty)
-			kept := make([]tripoll.Triangle, len(res.Triangles))
-			for i := range res.Triangles {
-				kept[i] = res.Triangles[i].Triangle
-			}
-			res.Partition = partition
-			res.Communities = community.ScoreCommunities(partition, res.Thresholded, btm, kept, ccfg.MinSize)
-		})
-		res.Timings.Cluster = time.Since(t0)
-	}
-
-	s.cache = &surveyCache{snap: ci, pruned: pruned, tris: tris, hyper: hyper, oriented: oriented, partition: partition}
-	s.orientEpoch.Store(oriented.Epoch())
-	s.orientPatchedEdges.Store(oriented.PatchedEdges())
-	s.orientRebuilds.Store(oriented.Rebuilds())
+	res, cs := s.cycle.Run(ci, btm, hyperDirty)
 
 	sr := &SurveyResult{
-		Cycle:               s.cycles.Add(1),
-		Watermark:           wm,
-		TakenAt:             start,
-		Duration:            time.Since(start),
-		Edges:               ci.NumEdges(),
-		Vertices:            ci.NumAuthors(),
-		Result:              res,
-		Delta:               delta,
-		CachedTriangles:     cachedN,
-		ResurveyedTriangles: resurveyedN,
-		OrientEpoch:         oriented.Epoch(),
-		OrientPatchedEdges:  oriented.PatchedEdges(),
-		OrientRebuilds:      oriented.Rebuilds(),
-		snap:                ci,
-		btm:                 btm,
-		stamp:               st,
+		Cycle:      s.cycles.Add(1),
+		Watermark:  st.watermark,
+		TakenAt:    start,
+		Duration:   time.Since(start),
+		Edges:      ci.NumEdges(),
+		Vertices:   ci.NumAuthors(),
+		Result:     res,
+		CycleStats: cs,
+		snap:       ci,
+		btm:        btm,
+		stamp:      st,
 	}
-	if partition != nil {
+	if p := res.Partition; p != nil {
 		sr.Communities = len(res.Communities)
-		sr.ReusedComponents = partition.ReusedComponents
-		sr.ClusteredComponents = partition.ClusteredComponents
+		sr.ReusedComponents, sr.ClusteredComponents = p.ReusedComponents, p.ClusteredComponents
 		s.lastCommunities.Store(int64(sr.Communities))
 		s.componentsReused.Add(int64(sr.ReusedComponents))
 		s.componentsClustered.Add(int64(sr.ClusteredComponents))
 	}
-	if delta {
-		sr.DirtyShards, sr.DirtyVertices = dirtyShards, len(dirty)
+	if cs.Delta {
 		s.deltaCycles.Add(1)
 	} else {
-		sr.DirtyShards, sr.DirtyVertices = ci.NumShards(), sr.Vertices
 		s.fullResurveys.Add(1)
 	}
-	s.lastDirtyShards.Store(int64(sr.DirtyShards))
-	s.lastDirtyVertices.Store(int64(sr.DirtyVertices))
-	s.trianglesCached.Add(int64(cachedN))
-	s.trianglesResurveyed.Add(int64(resurveyedN))
+	s.orientEpoch.Store(cs.OrientEpoch)
+	s.orientPatchedEdges.Store(cs.OrientPatchedEdges)
+	s.orientRebuilds.Store(cs.OrientRebuilds)
+	s.lastDirtyShards.Store(int64(cs.DirtyShards))
+	s.lastDirtyVertices.Store(int64(cs.DirtyVertices))
+	s.trianglesCached.Add(int64(cs.CachedTriangles))
+	s.trianglesResurveyed.Add(int64(cs.ResurveyedTriangles))
 	s.hyperCacheHits.Add(int64(res.HyperCacheHits))
 	s.lastSurveyNS.Store(int64(sr.Duration))
 	s.latest.Store(sr)
 	return sr, nil
-}
-
-// newOriented builds a fresh stable-epoch orientation of pruned with the
-// configured rebuild policy applied.
-func (s *Service) newOriented(pruned *graph.CISnapshot) *tripoll.Oriented {
-	o := tripoll.Orient(pruned.BuildAdjacency())
-	switch frac := s.cfg.OrientRebuildFrac; {
-	case frac < 0:
-		o.SetRebuildFrac(0) // re-freeze after any drifted patch batch
-	case frac > 0:
-		o.SetRebuildFrac(frac)
-	}
-	return o
 }
 
 // Latest returns the most recently published survey (nil before the first).
@@ -846,7 +628,7 @@ func (s *Service) SurveysReused() int64 { return s.surveysReused.Load() }
 func (s *Service) DeltaCycles() int64 { return s.deltaCycles.Load() }
 
 // FullResurveys returns the number of cycles that enumerated the whole
-// snapshot (first cycles, incomparable snapshots, or FullResurvey mode).
+// snapshot (the first cycle, or an incomparable snapshot).
 func (s *Service) FullResurveys() int64 { return s.fullResurveys.Load() }
 
 // TrianglesCached returns the cumulative count of triangles carried over

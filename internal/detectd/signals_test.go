@@ -1,8 +1,8 @@
 // Tests for the daemon in multi-signal mode: with three coordination
 // signals fused into one live graph, the incremental survey machinery —
-// dirty-shard deltas, cached triangles, patched orientation, full-resurvey
-// baseline — must keep publishing results byte-identical to a full batch
-// survey of each cycle's snapshot, and the HTTP surface must report the
+// dirty-shard deltas, cached triangles, patched orientation — must keep
+// publishing results byte-identical to a cold survey of each cycle's
+// snapshot, and the HTTP surface must report the
 // per-signal counters and signal mixes.
 package detectd
 
@@ -84,18 +84,12 @@ func TestMultiSignalDeltaMatchesFullOracle(t *testing.T) {
 	}
 }
 
-// TestMultiSignalFullResurveyMatchesDelta: the FullResurvey baseline and
-// the delta path agree cycle for cycle on the merged three-signal graph.
+// TestMultiSignalFullResurveyMatchesDelta: on the merged three-signal
+// graph every cycle equals a cold engine run on its own snapshot and BTM.
 func TestMultiSignalFullResurveyMatchesDelta(t *testing.T) {
 	ds := multiSignalDataset(0.03)
 	cfg := multiSignalConfig()
-	full := cfg
-	full.FullResurvey = true
 	a, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewService(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +100,11 @@ func TestMultiSignalFullResurveyMatchesDelta(t *testing.T) {
 			hi = len(ds.Comments)
 		}
 		a.Apply(ds.Comments[lo:hi])
-		b.Apply(ds.Comments[lo:hi])
 		ra, err := a.SurveyNow()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.SurveyNow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rb.Delta {
-			t.Fatal("FullResurvey mode ran a delta cycle")
-		}
-		surveysEqual(t, ra.Cycle, ra.Result, rb.Result)
+		surveysEqual(t, ra.Cycle, ra.Result, surveyOracle(t, cfg, ra))
 	}
 	if a.DeltaCycles() == 0 {
 		t.Fatal("delta mode never took the incremental path")
@@ -140,7 +126,6 @@ func TestMultiSignalHTTPSurface(t *testing.T) {
 		MinTriangleWeight: 2,
 		QueueSize:         16,
 		ClampLate:         true,
-		Sequential:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

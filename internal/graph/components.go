@@ -82,11 +82,6 @@ func ConnectedComponents(g CIView) []Component {
 	return comps
 }
 
-// sortSliceVertex sorts vertex IDs ascending.
-func sortSliceVertex(vs []VertexID) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-}
-
 // sortComponents orders each component's edges by (U, V) and the component
 // list largest-first (ties by smallest author), the canonical output order.
 func sortComponents(comps []Component) {

@@ -29,8 +29,8 @@ func concurrencyDataset() *redditgen.Dataset {
 }
 
 // TestRunConcurrentSharedBTM runs the full pipeline with Exclude from two
-// goroutines against one shared BTM, concurrently with RunOnCI snapshot
-// surveys of a shared CI graph. The BTM is read-only after construction
+// goroutines against one shared BTM, concurrently with cold Cycle surveys
+// of a shared CI graph. The BTM is read-only after construction
 // (its lazy timed index is sync.Once-guarded) and Run must not mutate it;
 // this test is the -race witness for that contract, which detectd relies
 // on when survey cycles overlap ingestion.
@@ -73,12 +73,7 @@ func TestRunConcurrentSharedBTM(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := RunOnCI(snapCI, btm, cfg)
-			if err != nil {
-				errs <- err
-				return
-			}
-			snaps[i] = r
+			snaps[i], _ = NewCycle(cfg, 0).Run(snapCI, btm, nil)
 		}()
 	}
 	wg.Wait()

@@ -15,6 +15,11 @@
 // res.Triangles carries, for every surviving triangle, both the CI-graph
 // metrics (min edge weight, T score) and the hypergraph metrics (w_xyz,
 // C score) — the paired series behind the paper's Figures 3–10.
+//
+// Everything after Step 1 is the Cycle engine (cycle.go). Run is Step 1
+// followed by one cold Cycle run; the streaming daemon (package detectd)
+// keeps one Cycle and runs it warm on every snapshot of its live store,
+// so batch and daemon results come from the same code.
 package pipeline
 
 import (
@@ -47,15 +52,13 @@ type Config struct {
 	// paper's §2.2 targeted re-run: take a group of interest found with
 	// a short window and re-project just those users with a longer one.
 	Restrict map[graph.VertexID]bool
-	// Ranks is the parallelism of Steps 1–3 (<= 0 = default). Sequential
-	// forces the single-threaded reference implementations instead.
-	Ranks      int
-	Sequential bool
+	// Ranks is the parallelism of Steps 1–3 (<= 0 = default).
+	Ranks int
 	// Sharded projects Step 1 into the lock-striped ShardedCI store via
 	// the owner-computes merge (projection.ProjectSharded) instead of the
 	// map-backed graph — the batch path over the same store the streaming
 	// daemon runs on. Steps 2–3 are unaffected (they consume the CIView
-	// interface) and still honor Sequential/Ranks.
+	// interface).
 	Sharded bool
 	// SkipHypergraph skips Step 3 (for projection/survey-only studies).
 	SkipHypergraph bool
@@ -106,12 +109,11 @@ type Result struct {
 	Components []graph.Component
 	// Triangles that survived the survey, each with hypergraph scores.
 	Triangles []TriangleResult
-	// HyperCacheHits counts Step-3 evaluations served from the caller's
-	// cross-cycle cache (RunOnTriangles only; 0 elsewhere).
+	// HyperCacheHits counts Step-3 evaluations served from a warm Cycle's
+	// per-triplet memo (0 on cold runs).
 	HyperCacheHits int
 	// Partition is the community assignment of the thresholded graph
-	// (nil unless Config.Communities). The daemon fills these two fields
-	// itself when it warm-starts clustering from a cached partition.
+	// (nil unless Config.Communities).
 	Partition *community.Partition
 	// Communities are the scored communities (>= Community.MinSize
 	// members), ordered by coordination score descending.
@@ -124,220 +126,24 @@ func Run(b *graph.BTM, cfg Config) (*Result, error) {
 	if err := cfg.Window.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{Config: cfg}
 
-	// Step 1: projection.
+	// Step 1: projection, then one cold survey cycle.
 	t0 := time.Now()
 	var ci graph.CIView
 	var err error
 	popts := projection.Options{Exclude: cfg.Exclude, Restrict: cfg.Restrict, Ranks: cfg.Ranks}
-	switch {
-	case cfg.Sharded:
+	if cfg.Sharded {
 		ci, err = projection.ProjectSharded(b, cfg.Window, popts)
-	case cfg.Sequential:
-		ci, err = projection.ProjectSequential(b, cfg.Window, popts)
-	default:
+	} else {
 		ci, err = projection.Project(b, cfg.Window, popts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: projection: %w", err)
 	}
-	res.CI = ci
-	res.Timings.Project = time.Since(t0)
-	finish(res, b, cfg)
+	project := time.Since(t0)
+	res, _ := NewCycle(cfg, 0).Run(ci, b, nil)
+	res.Timings.Project = project
 	return res, nil
-}
-
-// RunOnCI executes Steps 2–3 (triangle survey, hypergraph validation) and
-// the component census on an already-projected CI graph — the entry point
-// for snapshot surveys: a streaming projector hands over a copy of its live
-// graph and the batch machinery runs on it unchanged. b is the bipartite
-// multigraph the validation checks against (for a sliding window, a BTM of
-// just the trailing-horizon comments); it may be nil, which skips Step 3 as
-// if cfg.SkipHypergraph were set. cfg.Window is recorded but not re-applied
-// — the graph is taken as projected.
-func RunOnCI(ci graph.CIView, b *graph.BTM, cfg Config) (*Result, error) {
-	if ci == nil {
-		return nil, fmt.Errorf("pipeline: RunOnCI on nil CI graph")
-	}
-	if b == nil {
-		cfg.SkipHypergraph = true
-	}
-	res := &Result{Config: cfg, CI: ci}
-	finish(res, b, cfg)
-	return res, nil
-}
-
-// RunOnTriangles executes Step 3 (hypergraph validation) and the
-// component census on an already-surveyed triangle list — the delta-
-// survey entry point: a daemon that merged cache-surviving and
-// re-surveyed triangles hands the result here instead of re-enumerating
-// the snapshot. tris must be weight-thresholded and SortTriangles-sorted
-// but NOT T-score filtered: cfg.MinTScore is applied here against ci's
-// current page counts, so cached triangles re-filter correctly as P'
-// drifts between cycles. thresholded, when non-nil, is ci restricted to
-// edges >= the effective cut (e.g. a ThresholdDelta product, so the
-// component census needn't rescan the full snapshot); nil recomputes it.
-// hyperCache, when non-nil, memoizes Step-3 scores across calls keyed by
-// triplet; the caller is responsible for invalidating entries whose
-// authors' windowed comments changed. Hits are reported in
-// Result.HyperCacheHits. The output is identical to RunOnCI over the same
-// graph when tris is a full weight-only survey of it.
-func RunOnTriangles(ci, thresholded graph.CIView, tris []tripoll.Triangle, b *graph.BTM, cfg Config, hyperCache map[hypergraph.Triplet]hypergraph.Score) (*Result, error) {
-	if ci == nil {
-		return nil, fmt.Errorf("pipeline: RunOnTriangles on nil CI graph")
-	}
-	if b == nil {
-		cfg.SkipHypergraph = true
-	}
-	res := &Result{Config: cfg, CI: ci}
-
-	// The tail of Step 2: the T-score cut the survey would have applied.
-	t0 := time.Now()
-	if cfg.MinTScore > 0 {
-		kept := make([]tripoll.Triangle, 0, len(tris))
-		for _, tr := range tris {
-			if tr.TScore(ci.PageCount) >= cfg.MinTScore {
-				kept = append(kept, tr)
-			}
-		}
-		tris = kept
-	}
-	res.Timings.Survey = time.Since(t0)
-
-	// Step 3: hypergraph validation, cache-aware.
-	t0 = time.Now()
-	res.Triangles = make([]TriangleResult, len(tris))
-	for i, tr := range tris {
-		res.Triangles[i] = TriangleResult{Triangle: tr, T: tr.TScore(ci.PageCount)}
-	}
-	if !cfg.SkipHypergraph && len(tris) > 0 {
-		var missing []hypergraph.Triplet
-		var missingAt []int
-		for i, tr := range tris {
-			t := hypergraph.Triplet{X: tr.X, Y: tr.Y, Z: tr.Z}
-			if sc, ok := hyperCache[t]; ok {
-				res.Triangles[i].Hyper = sc
-				res.HyperCacheHits++
-				continue
-			}
-			missing = append(missing, t)
-			missingAt = append(missingAt, i)
-		}
-		if len(missing) > 0 {
-			// missing preserves the sorted triplet order of tris, so the
-			// sorted scores zip back 1:1.
-			for k, sc := range hypergraph.EvaluateAll(b, missing, stepRanks(cfg)) {
-				res.Triangles[missingAt[k]].Hyper = sc
-				if hyperCache != nil {
-					hyperCache[missing[k]] = sc
-				}
-			}
-		}
-	}
-	res.Timings.Validate = time.Since(t0)
-
-	// Component census on the thresholded view.
-	t0 = time.Now()
-	if thresholded == nil {
-		cut := cfg.MinTriangleWeight
-		if cfg.MinEdgeWeight > cut {
-			cut = cfg.MinEdgeWeight
-		}
-		if cut < 1 {
-			cut = 1
-		}
-		thresholded = ci.ThresholdView(cut)
-	}
-	res.Thresholded = thresholded
-	res.Components = graph.ConnectedComponents(res.Thresholded)
-	res.Timings.Component = time.Since(t0)
-	cluster(res, b, cfg, tris)
-	return res, nil
-}
-
-// cluster runs the optional community stage: a cold Detect over the
-// thresholded view, scored against the hypergraph and the surviving
-// census. The daemon skips this (Communities false) and warm-starts its
-// own clustering from the cached partition, filling the same fields.
-func cluster(res *Result, b *graph.BTM, cfg Config, tris []tripoll.Triangle) {
-	if !cfg.Communities {
-		return
-	}
-	t0 := time.Now()
-	ccfg := cfg.Community.Defaults()
-	res.Partition = community.Detect(res.Thresholded, ccfg)
-	res.Communities = community.ScoreCommunities(res.Partition, res.Thresholded, b, tris, ccfg.MinSize)
-	res.Timings.Cluster = time.Since(t0)
-}
-
-// stepRanks is the Step-3 worker count: one under Sequential, else Ranks.
-func stepRanks(cfg Config) int {
-	if cfg.Sequential {
-		return 1
-	}
-	return cfg.Ranks
-}
-
-// finish runs Steps 2–4 (survey, validation, components) on res.CI.
-func finish(res *Result, b *graph.BTM, cfg Config) {
-	ci := res.CI
-
-	// Step 2: triangle survey. Threshold and orient exactly once — the
-	// survey's edge cut equals the component census's, so the same pruned
-	// view serves both and the O(edges) filter is paid a single time.
-	t0 := time.Now()
-	sopts := tripoll.Options{
-		MinEdgeWeight:     cfg.MinEdgeWeight,
-		MinTriangleWeight: cfg.MinTriangleWeight,
-		MinTScore:         cfg.MinTScore,
-		Ranks:             cfg.Ranks,
-	}
-	thresholded := ci.ThresholdView(tripoll.EffectiveEdgeCut(sopts))
-	o := tripoll.Orient(thresholded.BuildAdjacency())
-	var tris []tripoll.Triangle
-	if cfg.Sequential {
-		o.SurveyAll(sopts, ci.PageCount, func(tr tripoll.Triangle) {
-			tris = append(tris, tr)
-		})
-		tripoll.SortTriangles(tris)
-	} else {
-		tris = o.SurveyParallel(sopts, ci.PageCount)
-	}
-	res.Timings.Survey = time.Since(t0)
-
-	// Step 3: hypergraph validation.
-	t0 = time.Now()
-	res.Triangles = make([]TriangleResult, len(tris))
-	for i, tr := range tris {
-		res.Triangles[i] = TriangleResult{Triangle: tr, T: tr.TScore(ci.PageCount)}
-	}
-	if !cfg.SkipHypergraph && len(tris) > 0 {
-		triplets := make([]hypergraph.Triplet, len(tris))
-		for i, tr := range tris {
-			triplets[i] = hypergraph.Triplet{X: tr.X, Y: tr.Y, Z: tr.Z}
-		}
-		scores := hypergraph.EvaluateAll(b, triplets, stepRanks(cfg))
-		// Both lists are sorted by triplet; triangles are unique per
-		// (X,Y,Z), so they zip 1:1.
-		for i := range res.Triangles {
-			res.Triangles[i].Hyper = scores[i]
-		}
-	}
-	res.Timings.Validate = time.Since(t0)
-
-	// Components of the thresholded graph (Figures 1–2 artifacts), on the
-	// pruned view the survey already built.
-	t0 = time.Now()
-	res.Thresholded = thresholded
-	res.Components = graph.ConnectedComponents(res.Thresholded)
-	res.Timings.Component = time.Since(t0)
-
-	kept := make([]tripoll.Triangle, len(res.Triangles))
-	for i := range res.Triangles {
-		kept[i] = res.Triangles[i].Triangle
-	}
-	cluster(res, b, cfg, kept)
 }
 
 // FlaggedAuthors returns the union of authors appearing in surviving

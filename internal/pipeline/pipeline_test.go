@@ -53,7 +53,38 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSequentialMatchesParallel: Run, with its parallel projection,
+// survey and Step-3 kernel, equals the chain of single-threaded layer
+// references, with and without a T cut, and with communities on.
 func TestSequentialMatchesParallel(t *testing.T) {
+	d := tinyDataset(t)
+	b := d.BTM()
+	for _, minT := range []float64{0, 0.3} {
+		cfg := Config{
+			Window:            projection.Window{Min: 0, Max: 60},
+			MinTriangleWeight: 5,
+			MinTScore:         minT,
+			Exclude:           d.Helpers,
+			Communities:       true,
+		}
+		par, err := Run(b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := oracleRun(t, b, cfg)
+		if !par.CI.Equal(seq.CI) {
+			t.Fatal("CI graphs differ")
+		}
+		if len(seq.Triangles) == 0 {
+			t.Fatal("degenerate fixture: no triangles")
+		}
+		sameResults(t, "parallel vs sequential", par, seq)
+	}
+}
+
+// TestRunShardedMatchesDefault: the Sharded Step-1 transport produces the
+// same pipeline output as the default map-backed projection.
+func TestRunShardedMatchesDefault(t *testing.T) {
 	d := tinyDataset(t)
 	b := d.BTM()
 	cfg := Config{
@@ -61,27 +92,23 @@ func TestSequentialMatchesParallel(t *testing.T) {
 		MinTriangleWeight: 5,
 		Exclude:           d.Helpers,
 	}
-	cfgSeq := cfg
-	cfgSeq.Sequential = true
-	par, err := Run(b, cfg)
+	want, err := Run(b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Run(b, cfgSeq)
+	cfgSh := cfg
+	cfgSh.Sharded = true
+	got, err := Run(b, cfgSh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !par.CI.Equal(seq.CI) {
-		t.Fatal("CI graphs differ")
+	if !want.CI.Equal(got.CI) {
+		t.Fatal("sharded projection differs from default")
 	}
-	if len(par.Triangles) != len(seq.Triangles) {
-		t.Fatalf("triangle counts differ: %d vs %d", len(par.Triangles), len(seq.Triangles))
+	if _, ok := got.CI.(*graph.ShardedCI); !ok {
+		t.Fatalf("Sharded run did not use the sharded store: %T", got.CI)
 	}
-	for i := range par.Triangles {
-		if par.Triangles[i] != seq.Triangles[i] {
-			t.Fatalf("triangle %d differs: %+v vs %+v", i, par.Triangles[i], seq.Triangles[i])
-		}
-	}
+	sameResults(t, "sharded vs default", got, want)
 }
 
 // A negative Ranks means the default parallelism in every step rather

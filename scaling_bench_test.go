@@ -160,11 +160,6 @@ func BenchmarkScalingComponents(b *testing.B) {
 			graph.ConnectedComponents(pruned)
 		}
 	})
-	b.Run("ygm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			graph.ConnectedComponentsParallel(pruned, 0)
-		}
-	})
 }
 
 // --- daemon benchmarks -------------------------------------------------
